@@ -381,16 +381,16 @@ let run_checker_rows () =
 (* ------------------------------------------------------------------ *)
 (* Idle-path CPU probe *)
 
-(* One straggler job sleeps ~50ms on worker 0 while the other workers'
-   deques are already drained, so they sit in the steal-scan idle loop
-   the whole time. With the exponential backoff in Pool.work the
-   process CPU over the batch stays near zero (everyone is sleeping);
-   the old fixed-cadence relax/sleep loop burned most of a core per
+(* One straggler job sleeps ~50ms while the other workers have already
+   claimed and finished every other job, so they have nothing left to
+   run for the whole batch. Workers out of jobs block on the pool's
+   condition variable, so the process CPU over the batch stays near
+   zero; a pool that polled for work would burn most of a core per
    idle worker, i.e. ~(jobs-1) * wall of CPU. Sys.time is ISO C
    clock(): processor time across every domain of the process, exactly
    the number busy-waiting inflates. The run also re-checks the
-   determinism contract the backoff must not disturb: the merged
-   output equals the jobs=1 run of the same batch. *)
+   determinism contract: the merged output equals the jobs=1 run of
+   the same batch. *)
 type idle_row = {
   ip_jobs : int;
   ip_wall_s : float;
@@ -419,13 +419,14 @@ let run_idle_probe () =
       Format.printf "@.#### Pool idle probe (1 straggler, %d workers) ####@.@." jobs;
       Format.printf "  wall %.3fs, process cpu %.3fs (%.2f of the %d idle workers' budget)@."
         wall cpu per_idle (jobs - 1);
-      (* Generous bound: busy-waiting scores ~1.0 here, the backoff
-         well under 0.1 — flag anything past half a burned core per
-         idle worker without being brittle on loaded CI runners. *)
+      (* Generous bound: busy-waiting scores ~1.0 here, blocked
+         workers well under 0.1 — flag anything past half a burned
+         core per idle worker without being brittle on loaded CI
+         runners. *)
       if per_idle > 0.5 then
         failwith
           (Printf.sprintf
-             "pool idle probe: %.2f of idle-worker CPU burned (backoff regression?)" per_idle);
+             "pool idle probe: %.2f of idle-worker CPU burned (busy-waiting?)" per_idle);
       { ip_jobs = jobs; ip_wall_s = wall; ip_cpu_s = cpu; ip_cpu_per_idle = per_idle })
 
 (* ------------------------------------------------------------------ *)
@@ -449,8 +450,8 @@ type runtime_row = {
 }
 
 let run_runtime_loopback () =
-  let module Node = Dds_runtime_unix.Node in
-  let module N_es = Node.Make (Es_register) in
+  let module Store = Dds_runtime_unix.Store in
+  let module S_es = Store.Make (Es_register) in
   let module Loop = Dds_runtime_unix.Loop in
   let module Load = Dds_runtime_unix.Load in
   let n = 3 in
@@ -476,14 +477,14 @@ let run_runtime_loopback () =
              let loop = Loop.create () in
              let cfg =
                {
-                 (Node.default_config ~self:i ~addrs) with
-                 Node.events_enabled = false;
+                 (Store.default_config ~self:i ~addrs) with
+                 Store.events_enabled = false;
                  listen_fd = Some (fst socks.(i));
                }
              in
-             let node = N_es.create ~loop cfg (Es_register.default_params ~n) in
+             let node = S_es.create ~loop cfg (fun _shard -> Es_register.default_params ~n) in
              Loop.watch_read loop ctl_r (fun () ->
-                 N_es.shutdown node;
+                 S_es.shutdown node;
                  Loop.stop loop);
              Loop.run loop
            with _ -> ());
@@ -904,10 +905,6 @@ let write_results_json ~tables ~scaling ~profile_rows ~shard_rows ~checker ~idle
                      ("jobs", J.Int j);
                      ("wall_s", J.Float wall);
                      ("busy_fraction", J.Float s.Dds_profile.Profile.s_busy_fraction);
-                     ("steal_attempts", J.Int s.Dds_profile.Profile.s_steal_attempts);
-                     ("steals", J.Int s.Dds_profile.Profile.s_steals);
-                     ( "steal_success_rate",
-                       J.Float s.Dds_profile.Profile.s_steal_success_rate );
                      ("minor_words", J.Float s.Dds_profile.Profile.s_minor_words);
                      ( "minor_words_per_job",
                        J.Float s.Dds_profile.Profile.s_minor_words_per_job );

@@ -61,7 +61,7 @@ module type PROTOCOL = sig
       synchronously. The runtime is the {e only} environment a node
       touches — the same state machine runs over the simulator
       ({!Dds_runtime.Runtime.of_sim}) and over TCP
-      ([Dds_runtime_unix.Node]). *)
+      ([Dds_runtime_unix.Store]). *)
 
   val pid : node -> Pid.t
 

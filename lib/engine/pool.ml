@@ -5,19 +5,23 @@ type 'r job = { key : string; run : unit -> 'r }
 exception Job_failed of { key : string; exn : exn }
 
 (* A submitted job, erased to unit: the wrapper writes its result into
-   the batch's slot array, so aggregation is by submission index and
-   the merged output is independent of which worker ran what. *)
-type packed = { index : int; pkey : string; prun : unit -> unit }
+   the batch's slot array, so aggregation is by submission index (its
+   index in [jobs] below) and the merged output is independent of which
+   worker ran what. *)
+type packed = { pkey : string; prun : unit -> unit }
 
 type batch = {
-  deques : packed Deque.t array;
-  remaining : int Atomic.t;  (** jobs not yet finished (run or skipped) *)
+  jobs : packed array;
+  next : int Atomic.t;
+      (** claim cursor: every worker takes [fetch_and_add next 1] and
+          runs that job until the index passes the end, so jobs start
+          in submission order *)
   failed : (int * string * exn) option Atomic.t;
       (** first failure recorded; once set, unstarted jobs are skipped *)
-  drained : int Atomic.t;
-      (** spawned workers that have left [work]; the submitter waits
-          for all of them before releasing the batch, so per-worker
-          stats and profile buffers are quiescent when [run] returns *)
+  mutable active : int;  (** spawned workers still inside the batch; under [lock] *)
+  left : float array;
+      (** per worker, when it found the cursor exhausted (profiling
+          only): the start of its [Idle] span *)
 }
 
 type state = Idle | Running of batch | Stopped
@@ -31,7 +35,6 @@ type t = {
   mutable generation : int;  (* bumped per batch so workers re-arm *)
   (* Per-worker stats: slot [w] is written only by worker [w]. *)
   stat_jobs : int array;
-  stat_steals : int array;
   stat_busy : float array;
   mutable batch_count : int;
   mutable wall_total : float;
@@ -53,12 +56,12 @@ let record_failure batch index key exn =
   in
   go ()
 
-let run_job t w batch (j : packed) =
+let run_job t w batch index (j : packed) =
   if Atomic.get batch.failed = None then begin
     let t0 = Unix.gettimeofday () in
     (match t.profile with
     | None ->
-      (try j.prun () with exn -> record_failure batch j.index j.pkey exn);
+      (try j.prun () with exn -> record_failure batch index j.pkey exn);
       t.stat_busy.(w) <- t.stat_busy.(w) +. (Unix.gettimeofday () -. t0)
     | Some p ->
       let g0 = Gc.quick_stat () in
@@ -68,7 +71,7 @@ let run_job t w batch (j : packed) =
          Both are domain-local, which is exactly what a per-job delta
          on the running domain needs. *)
       let m0 = Gc.minor_words () in
-      (try j.prun () with exn -> record_failure batch j.index j.pkey exn);
+      (try j.prun () with exn -> record_failure batch index j.pkey exn);
       let t1 = Unix.gettimeofday () in
       let g1 = Gc.quick_stat () in
       Profile.record_job p ~worker:w ~label:j.pkey ~t0 ~t1
@@ -79,87 +82,17 @@ let run_job t w batch (j : packed) =
         ~major_cols:(g1.Gc.major_collections - g0.Gc.major_collections);
       t.stat_busy.(w) <- t.stat_busy.(w) +. (t1 -. t0));
     t.stat_jobs.(w) <- t.stat_jobs.(w) + 1
-  end;
-  ignore (Atomic.fetch_and_add batch.remaining (-1))
+  end
 
-(* Worker [w] drains the batch: own deque first, then steal round
-   robin from the others; returns when every job has finished. The
-   idle path spins briefly then sleeps, so a tail of long jobs on
-   fewer cores than workers doesn't melt into busy-waiting. *)
 let work t w batch =
-  let n = Array.length batch.deques in
-  let idle = ref 0 in
-  (* With a recorder attached, stretches of not-finding-work coalesce
-     into one Idle span [idle_since, end); nan means "not idle". *)
-  let idle_since = ref Float.nan in
-  let flush_idle t1 =
-    if not (Float.is_nan !idle_since) then begin
-      (match t.profile with
-      | Some p when t1 > !idle_since ->
-        Profile.record p ~worker:w ~kind:Profile.Idle ~label:"" ~t0:!idle_since ~t1
-      | _ -> ());
-      idle_since := Float.nan
-    end
-  in
+  let n = Array.length batch.jobs in
   let rec loop () =
-    match Deque.pop batch.deques.(w) with
-    | Some j ->
-      flush_idle (if t.profile = None then 0.0 else Unix.gettimeofday ());
-      idle := 0;
-      run_job t w batch j;
+    let i = Atomic.fetch_and_add batch.next 1 in
+    if i < n then begin
+      run_job t w batch i batch.jobs.(i);
       loop ()
-    | None ->
-      let scan_t0 =
-        match t.profile with
-        | None -> 0.0
-        | Some _ ->
-          let now = Unix.gettimeofday () in
-          if Float.is_nan !idle_since then idle_since := now;
-          now
-      in
-      let stolen = ref None in
-      let v = ref 1 in
-      while !stolen = None && !v < n do
-        (match Deque.steal batch.deques.((w + !v) mod n) with
-        | Some j -> stolen := Some j
-        | None -> ());
-        incr v
-      done;
-      (match t.profile with
-      | Some p when n > 1 -> Profile.steal_attempt p ~worker:w ~success:(!stolen <> None)
-      | _ -> ());
-      (match !stolen with
-      | Some j ->
-        (* Close the idle stretch at the scan start so the Steal span
-           [scan_t0, now) stays disjoint from it. *)
-        flush_idle scan_t0;
-        (match t.profile with
-        | Some p ->
-          Profile.record p ~worker:w ~kind:Profile.Steal ~label:"" ~t0:scan_t0
-            ~t1:(Unix.gettimeofday ())
-        | None -> ());
-        idle := 0;
-        t.stat_steals.(w) <- t.stat_steals.(w) + 1;
-        run_job t w batch j;
-        loop ()
-      | None ->
-        if Atomic.get batch.remaining > 0 then begin
-          incr idle;
-          (* Exponential backoff. Steal scans almost never succeed once
-             the deques have drained (~0.001% measured on sweep-shaped
-             batches), so a fixed-cadence sleep still burns most of a
-             core per idle worker re-scanning. Spin only for the first
-             few scans (the window where a push is actually likely),
-             then sleep with doubling duration up to a 1.6ms cap. The
-             backoff only delays *when* an idle worker re-scans — job
-             results land in the slot array by submission index — so
-             merged output stays byte-identical. [idle] resets to 0 on
-             every pop or successful steal. *)
-          if !idle <= 32 then Domain.cpu_relax ()
-          else Unix.sleepf (5e-5 *. float_of_int (1 lsl Stdlib.min (!idle - 33) 5));
-          loop ()
-        end
-        else flush_idle (if t.profile = None then 0.0 else Unix.gettimeofday ()))
+    end
+    else if t.profile <> None then batch.left.(w) <- Unix.gettimeofday ()
   in
   loop ()
 
@@ -184,7 +117,10 @@ let worker_loop t w =
     | None -> ()
     | Some (gen, batch) ->
       work t w batch;
-      ignore (Atomic.fetch_and_add batch.drained 1);
+      Mutex.lock t.lock;
+      batch.active <- batch.active - 1;
+      if batch.active = 0 then Condition.broadcast t.cond;
+      Mutex.unlock t.lock;
       wait gen
   in
   wait 0
@@ -216,7 +152,6 @@ let create ?jobs ?minor_heap_words ?profile () =
       state = Idle;
       generation = 0;
       stat_jobs = Array.make workers 0;
-      stat_steals = Array.make workers 0;
       stat_busy = Array.make workers 0.0;
       batch_count = 0;
       wall_total = 0.0;
@@ -252,8 +187,7 @@ let with_pool ?jobs ?minor_heap_words ?profile f =
   let t = create ?jobs ?minor_heap_words ?profile () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let run_batch t packed =
-  let njobs = List.length packed in
+let run_batch t jobs =
   (match t.state with
   | Idle -> ()
   | Running _ -> invalid_arg "Pool.run: pool is already running a batch"
@@ -273,75 +207,64 @@ let run_batch t packed =
     ~finally:(fun () -> match saved with Some prev -> Profile.restore prev | None -> ())
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let failed =
-    if t.workers = 1 || njobs <= 1 then begin
-      let batch =
-        {
-          deques = [||];
-          remaining = Atomic.make njobs;
-          failed = Atomic.make None;
-          drained = Atomic.make 0;
-        }
-      in
-      List.iter (fun j -> run_job t 0 batch j) packed;
-      Atomic.get batch.failed
-    end
-    else begin
-      let deques = Array.init t.workers (fun _ -> Deque.create ()) in
-      (* Round-robin pre-distribution: worker 0 gets indices 0, w, 2w,
-         ... — the stealing protocol rebalances whatever this gets
-         wrong, and the slot array makes placement invisible. *)
-      List.iteri (fun i j -> Deque.push deques.(i mod t.workers) j) packed;
-      let batch =
-        {
-          deques;
-          remaining = Atomic.make njobs;
-          failed = Atomic.make None;
-          drained = Atomic.make 0;
-        }
-      in
-      Mutex.lock t.lock;
-      t.state <- Running batch;
-      t.generation <- t.generation + 1;
-      Condition.broadcast t.cond;
-      Mutex.unlock t.lock;
-      work t 0 batch;
-      (* Drain barrier: the batch stays [Running] until here, so every
-         spawned worker is guaranteed to enter [work] for this
-         generation and acknowledge leaving it. Once all have, their
-         final idle spans are flushed and no per-worker slot is being
-         written — [stats] / profile reads after [run] see a settled
-         batch. The wait is one last failed scan per worker, µs-scale. *)
-      while Atomic.get batch.drained < t.workers - 1 do
-        Domain.cpu_relax ()
-      done;
-      Mutex.lock t.lock;
-      t.state <- Idle;
-      Mutex.unlock t.lock;
-      Atomic.get batch.failed
-    end
+  let batch =
+    {
+      jobs;
+      next = Atomic.make 0;
+      failed = Atomic.make None;
+      active = t.workers - 1;
+      left = Array.make t.workers Float.nan;
+    }
   in
+  (* A lone job runs inline: waking the workers would only add a
+     hand-off to its latency. *)
+  let spawned = t.workers > 1 && Array.length jobs > 1 in
+  if spawned then begin
+    Mutex.lock t.lock;
+    t.state <- Running batch;
+    t.generation <- t.generation + 1;
+    Condition.broadcast t.cond;
+    Mutex.unlock t.lock
+  end;
+  work t 0 batch;
+  if spawned then begin
+    (* The batch stays [Running] until every spawned worker has entered
+       and left it, so none can miss this generation, and none writes
+       its stats or span buffer once the wait returns. *)
+    Mutex.lock t.lock;
+    while batch.active > 0 do
+      Condition.wait t.cond t.lock
+    done;
+    t.state <- Idle;
+    Mutex.unlock t.lock;
+    (* The workers are parked, so their buffers may be written here. *)
+    match t.profile with
+    | Some p ->
+      let t1 = Unix.gettimeofday () in
+      Array.iteri
+        (fun w left ->
+          if t1 > left then Profile.record p ~worker:w ~kind:Profile.Idle ~label:"" ~t0:left ~t1)
+        batch.left
+    | None -> ()
+  end;
   t.batch_count <- t.batch_count + 1;
   t.wall_total <- t.wall_total +. (Unix.gettimeofday () -. t0);
-  match failed with
+  match Atomic.get batch.failed with
   | Some (_, key, exn) -> raise (Job_failed { key; exn })
   | None -> ()
 
 let run t (jobs : 'r job list) : 'r list =
-  let n = List.length jobs in
-  let out = Array.make (Stdlib.max n 1) None in
-  let packed =
-    List.mapi
-      (fun i (j : 'r job) ->
-        { index = i; pkey = j.key; prun = (fun () -> out.(i) <- Some (j.run ())) })
-      jobs
-  in
-  run_batch t packed;
+  let jobs = Array.of_list jobs in
+  let out = Array.make (Array.length jobs) None in
+  run_batch t
+    (Array.mapi
+       (fun i (j : 'r job) -> { pkey = j.key; prun = (fun () -> out.(i) <- Some (j.run ())) })
+       jobs);
   let collect () =
-    List.init n (fun i ->
+    List.init (Array.length jobs) (fun i ->
         match out.(i) with
         | Some r -> r
-        | None -> raise (Job_failed { key = (List.nth jobs i).key; exn = Exit }))
+        | None -> raise (Job_failed { key = jobs.(i).key; exn = Exit }))
   in
   match t.profile with
   | None -> collect ()
@@ -408,11 +331,10 @@ let expand_frontier t ~key ~children ?(max_levels = 64) ~target roots =
   in
   loop 0 (List.map Either.left roots)
 
-type worker_stat = { ws_jobs : int; ws_steals : int; ws_busy_s : float }
+type worker_stat = { ws_jobs : int; ws_busy_s : float }
 
 let stats t =
-  List.init t.workers (fun w ->
-      { ws_jobs = t.stat_jobs.(w); ws_steals = t.stat_steals.(w); ws_busy_s = t.stat_busy.(w) })
+  List.init t.workers (fun w -> { ws_jobs = t.stat_jobs.(w); ws_busy_s = t.stat_busy.(w) })
 
 let batches t = t.batch_count
 let wall_s t = t.wall_total
@@ -420,19 +342,14 @@ let wall_s t = t.wall_total
 let metrics t =
   let m = Dds_sim.Metrics.create () in
   let total_jobs = Array.fold_left ( + ) 0 t.stat_jobs in
-  let total_steals = Array.fold_left ( + ) 0 t.stat_steals in
   let total_busy = Array.fold_left ( +. ) 0.0 t.stat_busy in
   Dds_sim.Metrics.add m "engine.jobs" total_jobs;
-  Dds_sim.Metrics.add m "engine.steals" total_steals;
   Dds_sim.Metrics.add m "engine.batches" t.batch_count;
   Dds_sim.Metrics.add m "engine.workers" t.workers;
   Dds_sim.Metrics.set_gauge m "engine.wall_s" t.wall_total;
   Dds_sim.Metrics.set_gauge m "engine.busy_s" total_busy;
   for w = 0 to t.workers - 1 do
     Dds_sim.Metrics.set_gauge m (Printf.sprintf "engine.w%d.jobs" w) (float_of_int t.stat_jobs.(w));
-    Dds_sim.Metrics.set_gauge m
-      (Printf.sprintf "engine.w%d.steals" w)
-      (float_of_int t.stat_steals.(w));
     Dds_sim.Metrics.set_gauge m (Printf.sprintf "engine.w%d.busy_s" w) t.stat_busy.(w)
   done;
   m

@@ -1,11 +1,14 @@
 (** Deterministic multicore job runner.
 
     A pool owns [jobs - 1] worker domains (the submitting domain is
-    worker 0) and runs batches of independent jobs over per-worker
-    {!Deque}s with work stealing. Results are aggregated in
-    {e canonical order} — the order the jobs were submitted in — so
-    the merged output of a batch is byte-identical for any worker
-    count: determinism is the contract, parallelism is invisible.
+    worker 0) and runs batches of independent jobs off one shared
+    claim cursor: every worker takes the next unclaimed index until
+    the batch is exhausted, so jobs {e start} in submission order and
+    a heavy job submitted first is the first to run. Results are
+    aggregated in {e canonical order} — the order the jobs were
+    submitted in — so the merged output of a batch is byte-identical
+    for any worker count: determinism is the contract, parallelism is
+    invisible.
 
     The contract this requires from jobs: each [run] must be a pure
     function of its closure (typically a seeded simulation that builds
@@ -17,7 +20,8 @@
     A pool created with [jobs = 1] spawns no domains and runs batches
     inline in submission order, so sequential behaviour (including
     which job's exception wins) is the [jobs = 1] special case of the
-    same code path. *)
+    same code path. Workers with nothing left to claim block on a
+    condition variable until the next batch. *)
 
 type t
 
@@ -50,10 +54,11 @@ val create : ?jobs:int -> ?minor_heap_words:int -> ?profile:Dds_profile.Profile.
 
     When [profile] is given, the pool records per-domain activity
     spans into it — one [Job] span (with [Gc.quick_stat] deltas) per
-    job, [Steal] spans for successful steal scans, coalesced [Idle]
-    spans, a [Merge] span around result collection — and binds each
-    worker domain so {!Dds_sim.Probe.span} phases inside job bodies
-    land in the right lane. The recorder must have been created with
+    job, one [Idle] span per worker from the moment it found the batch
+    exhausted to the batch end, a [Merge] span around result
+    collection — and binds each worker domain so
+    {!Dds_sim.Probe.span} phases inside job bodies land in the right
+    lane. The recorder must have been created with
     [~workers] at least the pool's worker count. Without [profile]
     every instrumented site is a single [option] branch. Profiling
     never changes results: span recording is observation only. *)
@@ -116,7 +121,6 @@ val expand_frontier :
 
 type worker_stat = {
   ws_jobs : int;  (** jobs this worker ran *)
-  ws_steals : int;  (** jobs it took from another worker's deque *)
   ws_busy_s : float;  (** wall seconds spent inside job bodies *)
 }
 
@@ -130,7 +134,7 @@ val wall_s : t -> float
 
 val metrics : t -> Dds_sim.Metrics.t
 (** The same numbers as a {!Dds_sim.Metrics.t} — counters
-    [engine.jobs], [engine.steals], [engine.batches] and per-worker
+    [engine.jobs], [engine.batches] and per-worker
     [engine.w<i>.*] gauges plus [engine.wall_s] / [engine.busy_s] —
     so engine telemetry flows through the existing
     {!Dds_sim.Export.metrics_to_json} path. *)

@@ -13,9 +13,9 @@
       carrying the {!Gc.quick_stat} deltas of the job body (minor /
       promoted / major words, minor / major collections) — the
       allocation telemetry ROADMAP Open item 1 asks for;
-    - [Steal] spans: each successful steal scan;
-    - [Idle] spans: coalesced stretches where a worker found no runnable
-      job (failed scans are counted as steal attempts);
+    - [Idle] spans: per batch, from the moment a worker found the
+      batch exhausted to the batch end (recorded by the submitter once
+      every worker has parked);
     - [Merge] spans: the canonical-order result copy on worker 0;
     - [Phase] spans: simulator-side sections bracketed by
       {!Dds_sim.Probe.span} (deployment construction, rng seeding),
@@ -27,13 +27,15 @@
     read time — per worker in record order, workers in index order —
     so exports are a deterministic function of what each domain did.
 
-    Thread-safety contract: [record]/probe writes happen only from the
-    owning worker during a batch; {!spans}, {!summary} and the exports
-    must be called between batches (not concurrently with one). *)
+    Thread-safety contract: during a batch, [record]/probe writes happen
+    only from the owning worker; between batches (every worker parked)
+    any one domain may write or read any buffer. {!spans}, {!summary}
+    and the exports must be called between batches (not concurrently
+    with one). *)
 
 type t
 
-type kind = Job | Steal | Idle | Merge | Phase
+type kind = Job | Idle | Merge | Phase
 
 val kind_to_string : kind -> string
 
@@ -61,7 +63,7 @@ val get_current : unit -> (t * int) option
 val restore : (t * int) option -> unit
 
 val record : t -> worker:int -> kind:kind -> label:string -> t0:float -> t1:float -> unit
-(** Record one span with no GC payload. Owner-only. *)
+(** Record one span with no GC payload. Owner-only during a batch. *)
 
 val record_job :
   t ->
@@ -76,9 +78,6 @@ val record_job :
   major_cols:int ->
   unit
 (** Record one [Job] span with its [Gc.quick_stat] deltas. Owner-only. *)
-
-val steal_attempt : t -> worker:int -> success:bool -> unit
-(** Count one steal scan (over every victim deque) by [worker]. *)
 
 val set_gc_params : t -> (string * int) list -> unit
 (** Note the GC settings active in the engine's domains (e.g.
@@ -114,8 +113,6 @@ type worker_summary = {
   w_jobs : int;
   w_busy_s : float;  (** total Job span seconds *)
   w_idle_s : float;
-  w_steal_attempts : int;
-  w_steals : int;
   w_busy_fraction : float;  (** busy / recorder wall span *)
 }
 
@@ -124,9 +121,6 @@ type summary = {
   s_wall_s : float;  (** latest span end minus earliest span start; 0 with no spans *)
   s_jobs : int;
   s_busy_fraction : float;  (** total busy / (wall * workers) *)
-  s_steal_attempts : int;
-  s_steals : int;
-  s_steal_success_rate : float;  (** steals / attempts; 0 with no attempts *)
   s_minor_words : float;
   s_promoted_words : float;
   s_major_words : float;

@@ -5,9 +5,8 @@ open Dds_runtime
 (** A live keyed store node: one process hosting one protocol instance
     per owned shard, all served over a single TCP mesh.
 
-    This is the wire-protocol-v2 redesign of {!Node}: where a v1 node
-    {e is} one register, a store node {e hosts} registers — shard [s]
-    of a [Placement.t] is a full, independent instance of the protocol
+    A store node {e hosts} registers — shard [s] of a [Placement.t]
+    is a full, independent instance of the protocol
     state machine (own event sink, own Lamport clock, own operation
     queue, own membership via the owners of [s]), and every client
     operation carries a 63-bit key that routes to
@@ -33,7 +32,8 @@ open Dds_runtime
     {!Wire.max_version}); a version below v1 is refused with a typed
     [Err] ([req = -1]) and a close, never a crash. A v1 client's
     requests decode as key 0 — against a 1-shard placement that is
-    exactly the old single-register service.
+    exactly the single-register service, which is why
+    {!default_config} builds that placement.
 
     {b Telemetry.} Each instance's span ids start at
     [(self * shards + shard) * 1_000_000] — the shard×10⁶ convention

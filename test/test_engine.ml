@@ -1,7 +1,7 @@
-(* Tests for the experiment engine: the work-stealing deque under
-   contention, the domain pool's determinism contract (canonical-order
-   results, lowest-index find_first, byte-identical tables at any
-   worker count), failure propagation, and shutdown hygiene. *)
+(* Tests for the experiment engine: the domain pool's claim order, its
+   determinism contract (canonical-order results, lowest-index
+   find_first, byte-identical tables at any worker count), failure
+   propagation, and shutdown hygiene. *)
 
 open Dds_engine
 open Dds_workload
@@ -9,94 +9,6 @@ open Dds_workload
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
-
-(* ------------------------------------------------------------------ *)
-(* Deque *)
-
-let test_deque_lifo_owner () =
-  let d = Deque.create () in
-  for i = 1 to 10 do
-    Deque.push d i
-  done;
-  check_int "size" 10 (Deque.size d);
-  (* Owner pops newest-first. *)
-  for i = 10 downto 1 do
-    match Deque.pop d with
-    | Some v -> check_int "pop order" i v
-    | None -> Alcotest.fail "premature empty"
-  done;
-  check_bool "empty" true (Deque.pop d = None)
-
-let test_deque_fifo_thief () =
-  let d = Deque.create () in
-  for i = 1 to 10 do
-    Deque.push d i
-  done;
-  (* A thief steals oldest-first, from the opposite end. *)
-  for i = 1 to 10 do
-    match Deque.steal d with
-    | Some v -> check_int "steal order" i v
-    | None -> Alcotest.fail "premature empty"
-  done;
-  check_bool "empty" true (Deque.steal d = None)
-
-let test_deque_growth () =
-  let d = Deque.create ~capacity:2 () in
-  for i = 1 to 1000 do
-    Deque.push d i
-  done;
-  check_int "all retained across growth" 1000 (Deque.size d);
-  let sum = ref 0 in
-  let rec drain () =
-    match Deque.pop d with
-    | Some v ->
-      sum := !sum + v;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check_int "no element lost or duplicated" (1000 * 1001 / 2) !sum
-
-(* One owner pushing and popping, several thieves stealing: every value
-   must surface exactly once across all parties. *)
-let test_deque_contention () =
-  let d = Deque.create () in
-  let total = 20_000 in
-  let stolen = Array.make 4 0 in
-  let stop = Atomic.make false in
-  let thieves =
-    List.init 4 (fun t ->
-        Domain.spawn (fun () ->
-            let acc = ref 0 in
-            while not (Atomic.get stop) do
-              match Deque.steal d with
-              | Some v -> acc := !acc + v
-              | None -> Domain.cpu_relax ()
-            done;
-            (* Drain what is left after the owner signalled stop. *)
-            let rec drain () =
-              match Deque.steal d with
-              | Some v ->
-                acc := !acc + v;
-                drain ()
-              | None -> ()
-            in
-            drain ();
-            stolen.(t) <- !acc))
-  in
-  let owner_sum = ref 0 in
-  for i = 1 to total do
-    Deque.push d i;
-    (* Interleave pops so the owner races the thieves at the bottom. *)
-    if i mod 3 = 0 then
-      match Deque.pop d with
-      | Some v -> owner_sum := !owner_sum + v
-      | None -> ()
-  done;
-  Atomic.set stop true;
-  List.iter Domain.join thieves;
-  let grand = Array.fold_left ( + ) !owner_sum stolen in
-  check_int "every value surfaced exactly once" (total * (total + 1) / 2) grand
 
 (* ------------------------------------------------------------------ *)
 (* Pool *)
@@ -123,6 +35,29 @@ let test_pool_matches_sequential () =
         Pool.map p ~key:(Printf.sprintf "cell:%d") ~f:cell seeds)
   in
   check_bool "concurrent == sequential" true (concurrent = sequential)
+
+(* Jobs start in submission order: job 0 is claimed before any other,
+   so it starts while every other job is still in its 20ms sleep. A
+   heavy job submitted first is therefore never left for last. *)
+let test_pool_claim_order () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          let finished = Atomic.make 0 in
+          let seen =
+            Pool.map p ~key:(Printf.sprintf "claim:%d")
+              ~f:(fun i ->
+                if i = 0 then Atomic.get finished
+                else begin
+                  Unix.sleepf 0.02;
+                  Atomic.incr finished;
+                  0
+                end)
+              (List.init (2 * jobs) Fun.id)
+          in
+          check_int (Printf.sprintf "jobs %d: finished jobs seen by job 0" jobs) 0
+            (List.hd seen)))
+    [ 2; 4 ]
 
 let test_pool_failure_carries_key () =
   Pool.with_pool ~jobs:2 (fun p ->
@@ -198,16 +133,10 @@ let prop_tables_jobs_invariant =
 let () =
   Alcotest.run "dds-engine"
     [
-      ( "deque",
-        [
-          Alcotest.test_case "owner LIFO" `Quick test_deque_lifo_owner;
-          Alcotest.test_case "thief FIFO" `Quick test_deque_fifo_thief;
-          Alcotest.test_case "growth" `Quick test_deque_growth;
-          Alcotest.test_case "contention" `Slow test_deque_contention;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "map canonical order" `Quick test_pool_map_order;
+          Alcotest.test_case "claim order" `Quick test_pool_claim_order;
           Alcotest.test_case "concurrent == sequential" `Slow test_pool_matches_sequential;
           Alcotest.test_case "failure carries key" `Quick test_pool_failure_carries_key;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;

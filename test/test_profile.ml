@@ -75,8 +75,8 @@ let test_job_spans_and_gc () =
   check_bool "dominant cost named" true (String.length s.Profile.s_dominant > 0)
 
 (* Per domain, spans must be well-nested: any two are disjoint or one
-   contains the other (phases sit inside their job; job, steal, idle
-   and merge spans never overlap on one worker). *)
+   contains the other (phases sit inside their job; job, idle and
+   merge spans never overlap on one worker). *)
 let test_spans_well_nested () =
   let profile, _ = profiled_batch ~jobs:4 ~njobs:24 in
   let spans = Profile.spans profile in
@@ -112,6 +112,33 @@ let test_spans_well_nested () =
             ss)
         ss)
     by_worker
+
+(* A straggler batch: the worker left without work idles until the
+   batch ends, and the summary counts that wait as idle time. *)
+let test_idle_until_batch_end () =
+  let profile = Profile.create ~workers:2 () in
+  Pool.with_pool ~jobs:2 ~profile (fun p ->
+      ignore
+        (Pool.map p ~key:string_of_int
+           ~f:(fun i -> if i = 0 then Unix.sleepf 0.1)
+           [ 0; 1; 2; 3 ]));
+  let spans = Profile.spans profile in
+  let last_job_end =
+    List.fold_left
+      (fun a s -> if s.Profile.sp_kind = Profile.Job then Float.max a s.Profile.sp_t1 else a)
+      0.0 spans
+  in
+  List.iter
+    (fun s ->
+      if s.Profile.sp_kind = Profile.Idle then
+        check_bool "idle span ends at the batch end" true (s.Profile.sp_t1 >= last_job_end))
+    spans;
+  let idle =
+    List.fold_left
+      (fun a w -> a +. w.Profile.w_idle_s)
+      0.0 (Profile.summary profile).Profile.s_workers
+  in
+  check_bool "straggler wait counted as idle" true (idle >= 0.02)
 
 (* ------------------------------------------------------------------ *)
 (* Probe hook: phases land in the bound worker's lane; no handler (or
@@ -236,6 +263,7 @@ let () =
         [
           Alcotest.test_case "job spans + GC telemetry" `Quick test_job_spans_and_gc;
           Alcotest.test_case "well-nested per domain" `Quick test_spans_well_nested;
+          Alcotest.test_case "idle until batch end" `Quick test_idle_until_batch_end;
           Alcotest.test_case "drop cap" `Quick test_drop_cap;
         ] );
       ( "probe",
